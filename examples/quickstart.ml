@@ -50,7 +50,7 @@ let () =
     flows;
   let pauses =
     Array.fold_left
-      (fun acc dp -> acc + (Bfc_core.Dataplane.stats dp).Bfc_core.Dataplane.pauses_sent)
+      (fun acc dp -> acc + (Bfc_ir.Compile.stats dp).Bfc_core.Dataplane.pauses_sent)
       0 (Runner.dataplanes env)
   in
   Printf.printf "\npauses sent: %d, drops: %d, completed %d/%d\n" pauses

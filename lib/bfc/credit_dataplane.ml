@@ -1,11 +1,3 @@
-module Packet = Bfc_net.Packet
-module Flow = Bfc_net.Flow
-module Port = Bfc_net.Port
-module Node = Bfc_net.Node
-module Switch = Bfc_switch.Switch
-module Fifo = Bfc_switch.Fifo
-module Sim = Bfc_engine.Sim
-
 type config = {
   assignment : Dqa.policy;
   table_mult : int;
@@ -40,148 +32,3 @@ module Balance = struct
 
   let get b ~queue = b.bal.(queue)
 end
-
-type t = {
-  sw : Switch.t;
-  cfg : config;
-  ft : Flow_table.t;
-  dqa : Dqa.t;
-  sticky : Bfc_engine.Time.t;
-  balances : Balance.b array; (* per egress *)
-  uncredited : bool array; (* host-facing egress: downstream always drains *)
-  mutable credits_sent : int;
-}
-
-let switch t = t.sw
-
-let balance t ~egress ~queue = Balance.get t.balances.(egress) ~queue
-
-let credits_sent t = t.credits_sent
-
-let required_buffer t =
-  Switch.n_ports t.sw * t.cfg.max_upstream_q * t.cfg.credit_bytes
-
-let now t = Sim.now (Switch.sim t.sw)
-
-let data_queues t = Switch.(config t.sw).queues_per_port - 1
-
-let ctrl_queue t = data_queues t
-
-(* Gate: a queue is "paused" whenever its balance cannot cover its head. *)
-let regate t ~egress ~queue =
-  if not t.uncredited.(egress) then begin
-    let q = Switch.queue t.sw ~egress ~queue in
-    let next = Fifo.head_size q in
-    let blocked = next > 0 && Balance.get t.balances.(egress) ~queue < next in
-    Switch.set_queue_paused t.sw ~egress ~queue blocked
-  end
-
-let classify t _sw ~in_port:_ ~egress pkt =
-  match pkt.Packet.kind with
-  | Packet.Data ->
-    let flow = Packet.flow_exn pkt ~at:(now t) in
-    let e = Flow_table.entry t.ft ~egress ~fid_hash:(Flow.hash flow) in
-    let stale = now t - e.Flow_table.last > t.sticky in
-    if e.Flow_table.size = 0 && (e.Flow_table.q < 0 || stale) then
-      e.Flow_table.q <- Dqa.assign t.dqa ~egress ~fid_hash:(Flow.hash flow);
-    e.Flow_table.size <- e.Flow_table.size + 1;
-    e.Flow_table.last <- now t;
-    e.Flow_table.q
-  | _ -> ctrl_queue t
-
-let on_enqueue t _sw ~in_port:_ ~egress ~queue pkt =
-  if pkt.Packet.kind = Packet.Data then begin
-    pkt.Packet.bp_upq <- pkt.Packet.upstream_q;
-    if queue < data_queues t then Dqa.mark_occupied t.dqa ~egress ~queue;
-    (* the freshly enqueued packet may be the head of a starved queue *)
-    regate t ~egress ~queue
-  end
-
-let grant_back t ~in_port ~upstream_q ~bytes =
-  if in_port >= 0 && upstream_q >= 0 then begin
-    let peer_is_host =
-      (Port.peer (Switch.port t.sw in_port)).Node.kind = Node.Host
-    in
-    ignore peer_is_host;
-    (* hosts also run credit-gated NICs, so grant regardless *)
-    let pkt =
-      match Switch.pool t.sw with
-      | Some p ->
-        Packet.Pool.acquire p Packet.Hop_credit ~src:(Switch.node_id t.sw) ~dst:(-1)
-          ~size:Packet.ctrl_bytes ()
-      | None ->
-        Packet.make ~sim:(Switch.sim t.sw) Packet.Hop_credit ~src:(Switch.node_id t.sw) ~dst:(-1)
-          ~size:Packet.ctrl_bytes ()
-    in
-    pkt.Packet.ctrl_a <- upstream_q;
-    pkt.Packet.ctrl_b <- bytes;
-    t.credits_sent <- t.credits_sent + 1;
-    Switch.send_ctrl t.sw ~egress:in_port pkt
-  end
-
-let on_dequeue t _sw ~egress ~queue pkt =
-  if pkt.Packet.kind = Packet.Data then begin
-    (* granting side: the packet has left our buffer; return its bytes to
-       the upstream queue it came from *)
-    grant_back t ~in_port:pkt.Packet.bp_in_port ~upstream_q:pkt.Packet.bp_upq
-      ~bytes:pkt.Packet.size;
-    (* sending side: we just consumed downstream credit *)
-    if not t.uncredited.(egress) then begin
-      let q = Switch.queue t.sw ~egress ~queue in
-      let next = Fifo.head_size q in
-      let blocked = Balance.consume t.balances.(egress) ~queue ~bytes:pkt.Packet.size ~next in
-      if blocked then Switch.set_queue_paused t.sw ~egress ~queue true
-    end;
-    (* bookkeeping identical to BFC *)
-    let flow = Packet.flow_exn pkt ~at:(now t) in
-    let e = Flow_table.entry t.ft ~egress ~fid_hash:(Flow.hash flow) in
-    e.Flow_table.size <- max 0 (e.Flow_table.size - 1);
-    e.Flow_table.last <- now t;
-    if queue < data_queues t then begin
-      let q = Switch.queue t.sw ~egress ~queue in
-      if Fifo.is_empty q then Dqa.mark_empty t.dqa ~egress ~queue
-    end;
-    pkt.Packet.upstream_q <- queue
-  end
-
-let on_ctrl t _sw ~in_port pkt =
-  match pkt.Packet.kind with
-  | Packet.Hop_credit ->
-    let queue = pkt.Packet.ctrl_a in
-    if queue >= 0 && queue < Switch.(config t.sw).queues_per_port then begin
-      let q = Switch.queue t.sw ~egress:in_port ~queue in
-      let next = Fifo.head_size q in
-      let unblock =
-        Balance.replenish t.balances.(in_port) ~queue ~bytes:pkt.Packet.ctrl_b ~next
-      in
-      if unblock then Switch.set_queue_paused t.sw ~egress:in_port ~queue false
-    end;
-    true
-  | _ -> false
-
-(* Setup-time code: runs once per switch, not per packet. *)
-(* bfc-lint: control-plane *)
-let attach sw cfg =
-  let n_ports = Switch.n_ports sw in
-  let nq = Switch.(config sw).queues_per_port in
-  let rng = Bfc_util.Rng.create (cfg.seed + (Switch.node_id sw * 104_729)) in
-  let t =
-    {
-      sw;
-      cfg;
-      ft = Flow_table.create ~egresses:n_ports ~queues_per_port:nq ~mult:cfg.table_mult;
-      dqa = Dqa.create ~egresses:n_ports ~queues:(nq - 1) ~policy:cfg.assignment ~rng;
-      sticky = Threshold.sticky_window sw ~mult:cfg.sticky_hrtt_mult;
-      balances = Array.init n_ports (fun _ -> Balance.create ~queues:nq ~initial:cfg.credit_bytes);
-      uncredited =
-        Array.init n_ports (fun e ->
-            (Port.peer (Switch.port sw e)).Node.kind = Node.Host);
-      credits_sent = 0;
-    }
-  in
-  let hk = Switch.hooks sw in
-  hk.Switch.classify <- classify t;
-  hk.Switch.on_enqueue <- on_enqueue t;
-  hk.Switch.on_dequeue <- on_dequeue t;
-  hk.Switch.on_ctrl <- on_ctrl t;
-  t

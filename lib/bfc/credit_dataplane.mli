@@ -1,18 +1,21 @@
-(** Credit-based (lossless) BFC — the §5 extension the paper leaves to
-    future work ("Using credits [11,41] could address this at the cost of
-    added complexity").
+(** Configuration of credit-based (lossless) BFC — the §5 extension the
+    paper leaves to future work ("Using credits [11,41] could address this
+    at the cost of added complexity") — plus the sender-side balance
+    logic shared by switches and host NICs.
 
-    Queue assignment is BFC's (flow table + dynamic queue assignment), but
-    instead of reactive pause/resume, transmission is gated by hop-by-hop
-    credits in the style of Kung & Morris: every egress queue holds a byte
-    balance for its downstream link; the downstream returns a credit as
-    each packet departs its own buffer. A packet is transmitted only when
-    the balance covers it, so — provided the downstream reserves
-    [credit_bytes] of buffer per ⟨ingress, upstream queue⟩ — no packet
-    ever arrives to a full buffer: losslessness by construction, at the
-    documented cost of large reserved buffers (this is exactly why the
-    paper's main design avoids credits; see §2.3 "ATM schemes require
-    per-connection state and large buffers").
+    The program itself is the compiled pipeline IR ([Bfc_ir.Compile]),
+    built by [Bfc_ir.Bfc_pipeline.credit]. Queue assignment is BFC's (flow
+    table + dynamic queue assignment), but instead of reactive
+    pause/resume, transmission is gated by hop-by-hop credits in the style
+    of Kung & Morris: every egress queue holds a byte balance for its
+    downstream link; the downstream returns a credit as each packet
+    departs its own buffer. A packet is transmitted only when the balance
+    covers it, so — provided the downstream reserves [credit_bytes] of
+    buffer per ⟨ingress, upstream queue⟩ — no packet ever arrives to a
+    full buffer: losslessness by construction, at the documented cost of
+    large reserved buffers (this is exactly why the paper's main design
+    avoids credits; see §2.3 "ATM schemes require per-connection state and
+    large buffers").
 
     Host-facing egresses are uncredited (receiver NICs always drain). *)
 
@@ -28,24 +31,9 @@ type config = {
 
 val default_config : config
 
-type t
-
-val attach : Bfc_switch.Switch.t -> config -> t
-
-val switch : t -> Bfc_switch.Switch.t
-
-(** Current sending balance of an egress queue (bytes). *)
-val balance : t -> egress:int -> queue:int -> int
-
-(** Buffer bytes this switch must reserve to honour the credits it grants:
-    ingress-ports x max_upstream_q x credit_bytes. *)
-val required_buffer : t -> int
-
-(** Credits granted (messages sent upstream) — diagnostics. *)
-val credits_sent : t -> int
-
-(** The NIC-side balance handler: shared logic for gating a sender queue
-    on Hop_credit arrivals. Exposed for {!Bfc_transport.Nic}. *)
+(** Per-queue sending balances: the logic for gating a sender queue on
+    Hop_credit arrivals, shared by the compiled credit pipeline and
+    {!Bfc_transport.Nic}. *)
 module Balance : sig
   type b
 

@@ -1,7 +1,4 @@
 module Packet = Bfc_net.Packet
-module Flow = Bfc_net.Flow
-module Switch = Bfc_switch.Switch
-module Sim = Bfc_engine.Sim
 
 type config = {
   assignment : Dqa.policy;
@@ -39,191 +36,6 @@ type stats = {
   mutable random_assignments : int;
 }
 
-type t = {
-  sw : Switch.t;
-  cfg : config;
-  classes : int;
-  qpc : int; (* queues per class; last queue of each class is the control queue *)
-  ft : Flow_table.t;
-  pc : Pause_counter.t;
-  dqa : Dqa.t; (* domains: egress * classes + class *)
-  sticky : Bfc_engine.Time.t;
-  allow_bp : (in_port:int -> egress:int -> bool) ref;
-  th : Threshold.source;
-      (* per egress: Th over N_active, precomputed at attach time like the
-         control-plane-populated match-action table on the hardware — the
-         per-packet path does integer lookups only *)
-  rng : Bfc_util.Rng.t;
-  st : stats;
-  occupancy : int array array; (* packets per (egress, queue), collision diag *)
-}
-
-let stats t = t.st
-
-let config t = t.cfg
-
-let switch t = t.sw
-
-let pause_counters t = t.pc
-
-let flow_table t = t.ft
-
-let data_queues t = (t.qpc - 1) * t.classes
-
-let threshold t ~egress =
-  Threshold.get t.th ~egress ~n_active:(Switch.n_active t.sw ~egress)
-
-let allow_backpressure t f = t.allow_bp := f
-
-let now t = Sim.now (Switch.sim t.sw)
-
-let cls_of_flow t flow = min (t.classes - 1) (max 0 flow.Flow.prio_class)
-
-let cls_of_pkt t pkt = min (t.classes - 1) (max 0 pkt.Packet.prio)
-
-(* Reserved control queue of a class (ACKs and friends). *)
-let ctrl_queue t ~cls = (cls * t.qpc) + t.qpc - 1
-
-let domain t ~egress ~cls = (egress * t.classes) + cls
-
-(* Is [queue] a data queue, i.e. subject to DQA bookkeeping? *)
-let is_data_queue t ~queue = queue mod t.qpc < t.qpc - 1
-
-let local_of_queue t ~queue = queue mod t.qpc
-
-let cls_of_queue t ~queue = queue / t.qpc
-
-(* --------------------------------------------------------------- *)
-(* Enqueue side                                                     *)
-
-let classify t _sw ~in_port:_ ~egress pkt =
-  match pkt.Packet.kind with
-  | Packet.Data -> (
-    let flow = Packet.flow_exn pkt ~at:(now t) in
-    let cls = cls_of_flow t flow in
-    if t.cfg.incast_label && flow.Flow.is_incast then begin
-      pkt.Packet.bp_sampled <- true;
-      cls * t.qpc (* dedicated incast queue: local 0 of the class *)
-    end
-    else begin
-      let sampled = t.cfg.sampling >= 1.0 || Bfc_util.Rng.bernoulli t.rng t.cfg.sampling in
-      pkt.Packet.bp_sampled <- sampled;
-      let e = Flow_table.entry t.ft ~egress ~fid_hash:(Flow.hash flow) in
-      let stale = now t - e.Flow_table.last > t.sticky in
-      if e.Flow_table.size = 0 && (e.Flow_table.q < 0 || stale) then begin
-        let local = Dqa.assign t.dqa ~egress:(domain t ~egress ~cls) ~fid_hash:(Flow.hash flow) in
-        t.st.assignments <- t.st.assignments + 1;
-        if
-          t.cfg.assignment = Dqa.Dynamic
-          && not (Dqa.is_empty_queue t.dqa ~egress:(domain t ~egress ~cls) ~queue:local)
-        then t.st.random_assignments <- t.st.random_assignments + 1;
-        e.Flow_table.q <- (cls * t.qpc) + local
-      end;
-      if sampled then begin
-        e.Flow_table.size <- e.Flow_table.size + 1;
-        e.Flow_table.last <- now t
-      end;
-      if t.occupancy.(egress).(e.Flow_table.q) > 0 && e.Flow_table.size <= 1 then
-        t.st.queue_collisions <- t.st.queue_collisions + 1;
-      e.Flow_table.q
-    end)
-  | Packet.Ack | Packet.Nack | Packet.Grant | Packet.Cnp | Packet.Credit | Packet.Credit_req ->
-    ctrl_queue t ~cls:(cls_of_pkt t pkt)
-  | Packet.Pause | Packet.Resume | Packet.Pause_bitmap | Packet.Hop_credit | Packet.Pfc ->
-    (* never reaches the data path *)
-    ctrl_queue t ~cls:0
-
-let make_ctrl t kind =
-  match Switch.pool t.sw with
-  | Some p -> Packet.Pool.acquire p kind ~src:(Switch.node_id t.sw) ~dst:(-1) ~size:Packet.ctrl_bytes ()
-  | None ->
-    Packet.make ~sim:(Switch.sim t.sw) kind ~src:(Switch.node_id t.sw) ~dst:(-1)
-      ~size:Packet.ctrl_bytes ()
-
-let send_pause t ~egress ~upstream_q kind =
-  let pkt = make_ctrl t kind in
-  pkt.Packet.ctrl_a <- upstream_q;
-  Switch.send_ctrl t.sw ~egress pkt;
-  match kind with
-  | Packet.Pause -> t.st.pauses_sent <- t.st.pauses_sent + 1
-  | Packet.Resume -> t.st.resumes_sent <- t.st.resumes_sent + 1
-  | _ -> ()
-
-let on_enqueue t _sw ~in_port ~egress ~queue pkt =
-  if pkt.Packet.kind = Packet.Data then begin
-    if is_data_queue t ~queue then begin
-      Dqa.mark_occupied t.dqa
-        ~egress:(domain t ~egress ~cls:(cls_of_queue t ~queue))
-        ~queue:(local_of_queue t ~queue);
-      t.occupancy.(egress).(queue) <- t.occupancy.(egress).(queue) + 1
-    end;
-    if
-      pkt.Packet.bp_sampled
-      && in_port >= 0
-      && pkt.Packet.upstream_q >= 0
-      && !(t.allow_bp) ~in_port ~egress
-    then begin
-      let q = Switch.queue t.sw ~egress ~queue in
-      if q.Bfc_switch.Fifo.bytes > threshold t ~egress then begin
-        pkt.Packet.bp_counted <- true;
-        pkt.Packet.bp_upq <- pkt.Packet.upstream_q;
-        t.st.packets_counted <- t.st.packets_counted + 1;
-        match Pause_counter.incr t.pc ~ingress:in_port ~upstream_q:pkt.Packet.upstream_q with
-        | Pause_counter.Went_up ->
-          send_pause t ~egress:in_port ~upstream_q:pkt.Packet.upstream_q Packet.Pause
-        | Pause_counter.Went_down | Pause_counter.No_change -> ()
-      end
-    end
-  end
-
-(* --------------------------------------------------------------- *)
-(* Dequeue side (the recirculated header's work)                     *)
-
-let on_dequeue t _sw ~egress ~queue pkt =
-  if pkt.Packet.kind = Packet.Data then begin
-    if pkt.Packet.bp_counted then begin
-      (match
-         Pause_counter.decr t.pc ~ingress:pkt.Packet.bp_in_port ~upstream_q:pkt.Packet.bp_upq
-       with
-      | Pause_counter.Went_down ->
-        send_pause t ~egress:pkt.Packet.bp_in_port ~upstream_q:pkt.Packet.bp_upq Packet.Resume
-      | Pause_counter.Went_up | Pause_counter.No_change -> ());
-      pkt.Packet.bp_counted <- false
-    end;
-    let flow = Packet.flow_exn pkt ~at:(now t) in
-    let incast_bypass = t.cfg.incast_label && flow.Flow.is_incast in
-    if pkt.Packet.bp_sampled && not incast_bypass then begin
-      let e = Flow_table.entry t.ft ~egress ~fid_hash:(Flow.hash flow) in
-      e.Flow_table.size <- max 0 (e.Flow_table.size - 1);
-      e.Flow_table.last <- now t
-    end;
-    if is_data_queue t ~queue then begin
-      t.occupancy.(egress).(queue) <- max 0 (t.occupancy.(egress).(queue) - 1);
-      let q = Switch.queue t.sw ~egress ~queue in
-      let incast_queue = t.cfg.incast_label && local_of_queue t ~queue = 0 in
-      if Bfc_switch.Fifo.is_empty q && not incast_queue then
-        Dqa.mark_empty t.dqa
-          ~egress:(domain t ~egress ~cls:(cls_of_queue t ~queue))
-          ~queue:(local_of_queue t ~queue)
-    end;
-    (* Tell the next hop which of our queues this packet came from. *)
-    pkt.Packet.upstream_q <- queue
-  end
-
-let on_drop t _sw ~in_port:_ ~egress ~queue:_ pkt =
-  (* Undo the enqueue-side flow table increment. *)
-  if pkt.Packet.kind = Packet.Data then begin
-    let flow = Packet.flow_exn pkt ~at:(now t) in
-    let incast_bypass = t.cfg.incast_label && flow.Flow.is_incast in
-    if pkt.Packet.bp_sampled && not incast_bypass then begin
-      let e = Flow_table.entry t.ft ~egress ~fid_hash:(Flow.hash flow) in
-      e.Flow_table.size <- max 0 (e.Flow_table.size - 1)
-    end
-  end
-
-(* --------------------------------------------------------------- *)
-(* Reacting side                                                     *)
-
 let apply_ctrl ~set_paused ~n_queues pkt =
   match pkt.Packet.kind with
   | Packet.Pause ->
@@ -239,88 +51,3 @@ let apply_ctrl ~set_paused ~n_queues pkt =
       set_paused ~queue:q want.(q)
     done
   | _ -> ()
-
-(* Wipe the dataplane program's state alongside a switch reboot: the flow
-   table, pause counters, DQA bitmaps and occupancy diagnostics all restart
-   from scratch (the reloaded P4 program has no memory of the old run). *)
-(* bfc-lint: control-plane *)
-let reset t =
-  Flow_table.reset t.ft;
-  Pause_counter.reset t.pc;
-  Dqa.reset t.dqa;
-  Array.iter (fun row -> Array.fill row 0 (Array.length row) 0) t.occupancy;
-  if t.cfg.incast_label then
-    for d = 0 to (Switch.n_ports t.sw * t.classes) - 1 do
-      Dqa.mark_occupied t.dqa ~egress:d ~queue:0
-    done
-
-let on_ctrl t _sw ~in_port pkt =
-  match pkt.Packet.kind with
-  | Packet.Pause | Packet.Resume | Packet.Pause_bitmap ->
-    let n_queues = Switch.(config t.sw).queues_per_port in
-    apply_ctrl
-      ~set_paused:(fun ~queue paused -> Switch.set_queue_paused t.sw ~egress:in_port ~queue paused)
-      ~n_queues pkt;
-    true
-  | _ -> false
-
-(* bfc-lint: control-plane *)
-let start_bitmap_refresh t period =
-  let sim = Switch.sim t.sw in
-  ignore
-    (Sim.every sim ~period (fun () ->
-         for ingress = 0 to Switch.n_ports t.sw - 1 do
-           let paused = Pause_counter.paused_queues t.pc ~ingress in
-           let pkt = make_ctrl t Packet.Pause_bitmap in
-           pkt.Packet.ints <- Array.of_list paused;
-           Switch.send_ctrl t.sw ~egress:ingress pkt
-         done))
-
-(* bfc-lint: control-plane *)
-let attach sw cfg =
-  let scfg = Switch.config sw in
-  let nq = scfg.Switch.queues_per_port in
-  let classes = max 1 scfg.Switch.classes in
-  if nq mod classes <> 0 then invalid_arg "Dataplane.attach: queues not divisible by classes";
-  let qpc = nq / classes in
-  if qpc < 2 then invalid_arg "Dataplane.attach: need at least 2 queues per class";
-  let n_ports = Switch.n_ports sw in
-  let rng = Bfc_util.Rng.create (cfg.seed + (Switch.node_id sw * 7919)) in
-  let t =
-    {
-      sw;
-      cfg;
-      classes;
-      qpc;
-      ft = Flow_table.create ~egresses:n_ports ~queues_per_port:nq ~mult:cfg.table_mult;
-      pc = Pause_counter.create ~ingresses:n_ports ~max_upstream_q:cfg.max_upstream_q;
-      dqa =
-        Dqa.create ~egresses:(n_ports * classes) ~queues:(qpc - 1) ~policy:cfg.assignment ~rng;
-      sticky = Threshold.sticky_window sw ~mult:cfg.sticky_hrtt_mult;
-      allow_bp = ref (fun ~in_port:_ ~egress:_ -> true);
-      th = Threshold.source_for_switch sw ~fixed_th:cfg.fixed_th ~factor:cfg.th_factor;
-      rng;
-      st =
-        {
-          pauses_sent = 0;
-          resumes_sent = 0;
-          packets_counted = 0;
-          queue_collisions = 0;
-          assignments = 0;
-          random_assignments = 0;
-        };
-      occupancy = Array.init n_ports (fun _ -> Array.make nq 0);
-    }
-  in
-  if cfg.incast_label then
-    for d = 0 to (n_ports * classes) - 1 do
-      Dqa.mark_occupied t.dqa ~egress:d ~queue:0
-    done;
-  let hk = Switch.hooks sw in
-  hk.Switch.classify <- classify t;
-  hk.Switch.on_enqueue <- on_enqueue t;
-  hk.Switch.on_dequeue <- on_dequeue t;
-  hk.Switch.on_drop <- on_drop t;
-  hk.Switch.on_ctrl <- on_ctrl t;
-  (match cfg.bitmap_period with None -> () | Some p -> start_bitmap_refresh t p);
-  t

@@ -1,6 +1,9 @@
-(** The BFC dataplane program (§3.3), attached to a {!Bfc_switch.Switch}.
+(** Configuration and counters of the BFC dataplane program (§3.3), plus
+    the reacting side shared with host NICs.
 
-    Responsibilities, exactly following the paper's pseudocode:
+    The program itself is the compiled pipeline IR ([Bfc_ir.Compile]):
+    [Bfc_ir.Bfc_pipeline.bfc] turns a {!config} into a validated
+    match-action pipeline that follows the paper's pseudocode:
 
     - {b Enqueue} (ingress pipeline): look up ⟨egress, hash(FID)⟩ in the
       flow table; (re)assign a physical queue if the entry has no packets in
@@ -14,7 +17,7 @@
       update the empty-queue bitmap.
     - {b Reacting side}: Pause/Resume/Pause-bitmap control packets arriving
       on port [i] pause/resume queues of egress [i] (the reverse direction
-      of the same link).
+      of the same link) — {!apply_ctrl}.
 
     The last queue of every port is reserved for end-to-end control traffic
     (ACKs, NACKs, grants), standing in for the high-priority control queue
@@ -35,8 +38,6 @@ type config = {
 
 val default_config : config
 
-type t
-
 (** Statistics for tests and benches. *)
 type stats = {
   mutable pauses_sent : int;
@@ -49,39 +50,7 @@ type stats = {
   mutable random_assignments : int; (** assignments with no empty queue *)
 }
 
-(** [attach sw config] installs BFC on the switch (overwrites hooks). *)
-val attach : Bfc_switch.Switch.t -> config -> t
-
-(** [allow_backpressure t f] installs the deadlock-prevention match-action
-    filter (App. B): packets for which [f ~in_port ~egress] is false skip
-    pause accounting. *)
-val allow_backpressure : t -> (in_port:int -> egress:int -> bool) -> unit
-
-val stats : t -> stats
-
-val config : t -> config
-
-val switch : t -> Bfc_switch.Switch.t
-
-(** Current pause threshold for an egress (bytes). *)
-val threshold : t -> egress:int -> int
-
-(** Pause counters (for invariant checks in tests). *)
-val pause_counters : t -> Pause_counter.t
-
-val flow_table : t -> Flow_table.t
-
-(** Number of data queues per port (one control queue is reserved per
-    traffic class). *)
-val data_queues : t -> int
-
-(** The reacting side used by host NICs as well: given a control packet and
-    the local queue-pause setter, apply it. Exposed for the NIC
-    implementation. *)
+(** The reacting side, used by switches and host NICs alike: given a
+    control packet and the local queue-pause setter, apply it. *)
 val apply_ctrl :
   set_paused:(queue:int -> bool -> unit) -> n_queues:int -> Bfc_net.Packet.t -> unit
-
-(** Wipe flow table, pause counters, DQA bitmaps and occupancy diagnostics;
-    call together with {!Bfc_switch.Switch.reboot} so the dataplane state
-    matches the flushed switch. *)
-val reset : t -> unit

@@ -18,9 +18,8 @@ let lookup t ~n_active =
   t.values.(n)
 
 (* ------------------------------------------------------------------ *)
-(* Shared control-plane derivations: Dataplane, Credit_dataplane and the
-   IR compiler all populate their threshold/sticky state through these
-   instead of keeping parallel copies. *)
+(* Control-plane derivations the IR compiler populates its
+   threshold/sticky state from at attach time. *)
 
 module Switch = Bfc_switch.Switch
 

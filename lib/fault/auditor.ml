@@ -6,7 +6,7 @@ module Port = Bfc_net.Port
 module Packet = Bfc_net.Packet
 module Fifo = Bfc_switch.Fifo
 module Switch = Bfc_switch.Switch
-module Dataplane = Bfc_core.Dataplane
+module Compile = Bfc_ir.Compile
 module Pause_counter = Bfc_core.Pause_counter
 module Flow_table = Bfc_core.Flow_table
 module Runner = Bfc_sim.Runner
@@ -44,7 +44,7 @@ let default_config =
    hook — so the identity needs no resync across reboots. *)
 type sw_state = {
   asw : Switch.t;
-  adp : Dataplane.t option;
+  adp : Compile.t option; (* the switch's BFC program, if any *)
   drops_base : int;
   mutable enq : int;
   mutable deq : int;
@@ -71,6 +71,13 @@ let violate t ~node ~invariant ~detail =
   in
   t.violations <- v :: t.violations;
   if t.cfg.fail_fast then raise (Audit_violation v)
+
+(* The compiled BFC program of a switch. Credit programs gate queues on
+   byte balances, not pause counters, so the BFC invariants skip them. *)
+let bfc_program env ~node =
+  Array.find_opt
+    (fun dp -> Switch.node_id (Compile.switch dp) = node && not (Compile.is_credit dp))
+    (Runner.dataplanes env)
 
 (* ------------------------------------------------------------------ *)
 (* Invariant checks                                                    *)
@@ -106,13 +113,13 @@ let check_switch t st =
   match st.adp with
   | None -> ()
   | Some dp ->
-    let pc_total = Pause_counter.total (Dataplane.pause_counters dp) in
+    let pc_total = Pause_counter.total (Compile.pause_counters dp) in
     if pc_total <> st.marked then
       violate t ~node ~invariant:"pause-balance"
         ~detail:
           (Printf.sprintf "pause counters sum to %d but %d marked packets resident" pc_total
              st.marked);
-    let ft = Dataplane.flow_table dp in
+    let ft = Compile.flow_table dp in
     let slots = Flow_table.slots_per_port ft in
     for e = 0 to Switch.n_ports sw - 1 do
       let occ = Flow_table.occupied ft ~egress:e in
@@ -127,14 +134,10 @@ let check_switch t st =
       let port = Switch.port sw e in
       let peer = Port.peer port in
       if peer.Node.kind = Node.Switch then begin
-        match
-          Array.find_opt
-            (fun o -> Switch.node_id (Dataplane.switch o) = peer.Node.id)
-            (Runner.dataplanes t.env)
-        with
+        match bfc_program t.env ~node:peer.Node.id with
         | None -> ()
         | Some dp_peer ->
-          let pc = Dataplane.pause_counters dp_peer in
+          let pc = Compile.pause_counters dp_peer in
           Array.iter
             (fun q ->
               match Switch.queue_paused_since sw ~egress:e ~queue:q.Fifo.idx with
@@ -205,14 +208,9 @@ let attach ?(config = default_config) env =
   let sws =
     Array.map
       (fun sw ->
-        let adp =
-          Array.find_opt
-            (fun dp -> Switch.node_id (Dataplane.switch dp) = Switch.node_id sw)
-            (Runner.dataplanes env)
-        in
         {
           asw = sw;
-          adp;
+          adp = bfc_program env ~node:(Switch.node_id sw);
           drops_base = Switch.drops sw;
           enq = 0;
           deq = 0;
@@ -259,7 +257,7 @@ let attach ?(config = default_config) env =
       hk.Switch.on_reboot <-
         (fun sw ~flushed ->
           prev_rb sw ~flushed;
-          (* resident marked packets were flushed; Dataplane.reset (run by
+          (* resident marked packets were flushed; Compile.reset (run by
              the injector right after) zeroes the counters to match *)
           st.marked <- 0))
     sws;

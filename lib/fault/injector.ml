@@ -4,7 +4,7 @@ module Topology = Bfc_net.Topology
 module Node = Bfc_net.Node
 module Port = Bfc_net.Port
 module Switch = Bfc_switch.Switch
-module Dataplane = Bfc_core.Dataplane
+module Compile = Bfc_ir.Compile
 module Runner = Bfc_sim.Runner
 module Tracer = Bfc_sim.Tracer
 module Registry = Bfc_obs.Registry
@@ -152,11 +152,9 @@ let find_switch t ~node =
   | None -> invalid_arg (Printf.sprintf "Injector: node %d is not a switch" node)
 
 let find_dataplane t ~node =
-  let found = ref None in
-  Array.iter
-    (fun dp -> if Switch.node_id (Dataplane.switch dp) = node then found := Some dp)
-    (Runner.dataplanes t.env);
-  !found
+  Array.find_opt
+    (fun dp -> Switch.node_id (Compile.switch dp) = node)
+    (Runner.dataplanes t.env)
 
 let reboot_switch t ~node ?down_for () =
   let sw = find_switch t ~node in
@@ -184,7 +182,7 @@ let reboot_switch t ~node ?down_for () =
       end
     done);
   let flushed = Switch.reboot sw in
-  (match find_dataplane t ~node with Some dp -> Dataplane.reset dp | None -> ());
+  (match find_dataplane t ~node with Some dp -> Compile.reset dp | None -> ());
   bump t (fun p -> p.c_reboot);
   (match t.probes with
   | Some p -> Registry.add p.reg p.c_flushed flushed

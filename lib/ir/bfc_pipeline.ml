@@ -1,10 +1,9 @@
 (* The two shipped dataplanes expressed as IR programs.
 
-   These builders are the IR counterpart of Dataplane.attach /
-   Credit_dataplane.attach: given the same config record and the switch
-   dimensions, they emit the pipeline whose compiled form (Compile.attach)
-   behaves byte-identically to the hand-written hooks. Everything runs at
-   load time — this whole file is control-plane code. *)
+   Given a Dataplane / Credit_dataplane config record and the switch
+   dimensions, these builders emit the pipeline that Compile.attach
+   installs on the switch. Everything runs at load time — this whole file
+   is control-plane code. *)
 
 module Dataplane = Bfc_core.Dataplane
 module Credit_dataplane = Bfc_core.Credit_dataplane

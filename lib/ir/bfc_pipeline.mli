@@ -1,9 +1,9 @@
 (** The shipped dataplanes as IR programs.
 
-    IR counterparts of [Dataplane.attach] / [Credit_dataplane.attach]:
-    given the same config and switch dimensions, these emit the pipeline
-    whose compiled form behaves byte-identically to the hand-written
-    hooks (held to that by the differential test). *)
+    Given a [Dataplane] / [Credit_dataplane] config and the switch
+    dimensions, these emit the pipeline that {!Compile.attach} installs;
+    recorded run fixtures (test/fixtures/ir/run-*.expected) pin the
+    compiled output byte for byte. *)
 
 (** BFC (§3.3): sample + flow table + dynamic queue assignment +
     threshold pause on ingress; recirculated-header resume / size

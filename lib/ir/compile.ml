@@ -1,14 +1,11 @@
 (* Lowering: a validated pipeline becomes five flat op arrays, one per
-   switch hook, interpreted by integer-only executors over the same flat
-   state the hand-written dataplanes use (Flow_table / Pause_counter /
-   Dqa / int arrays). No per-packet closures, no lists, no float math on
-   the hot path: attach resolves every action to a variant constructor and
-   the executors dispatch over them in a [for] loop.
-
-   Each op's body is the corresponding fragment of Dataplane /
-   Credit_dataplane, in the same order the hand-written hooks run them and
-   drawing from the same seeded RNG stream — the differential test holds
-   the two implementations to byte-identical output. *)
+   switch hook, interpreted by integer-only executors over flat state
+   (Flow_table / Pause_counter / Dqa / int arrays). No per-packet
+   closures, no lists, no float math on the hot path: attach resolves
+   every action to a variant constructor and the executors dispatch over
+   them in a [for] loop. This is the simulator's only BFC and credit
+   dataplane; recorded run fixtures (test/fixtures/ir/run-*.expected) pin
+   its output byte for byte. *)
 
 module Packet = Bfc_net.Packet
 module Flow = Bfc_net.Flow
@@ -23,6 +20,7 @@ module Flow_table = Bfc_core.Flow_table
 module Pause_counter = Bfc_core.Pause_counter
 module Threshold = Bfc_core.Threshold
 module Dataplane = Bfc_core.Dataplane
+module Balance = Bfc_core.Credit_dataplane.Balance
 
 exception Infeasible of Validate.diag list
 
@@ -60,11 +58,12 @@ type t = {
   (* parameters resolved from the pipeline's actions *)
   sampling : float; (* compared with >=, fed to Rng.bernoulli: no float ops here *)
   incast_label : bool;
+  is_credit : bool;
   classes : int;
   qpc : int;
   sticky : Bfc_engine.Time.t;
   th : Threshold.source;
-  (* flat dataplane state, identical to the hand-written programs *)
+  (* flat dataplane state *)
   ft : Flow_table.t;
   pc : Pause_counter.t;
   dqa : Dqa.t;
@@ -72,9 +71,8 @@ type t = {
   st : Dataplane.stats;
   occupancy : int array array;
   allow_bp : (in_port:int -> egress:int -> bool) ref;
-  balances : int array array; (* credit: per (egress, queue) byte balance *)
+  balances : Balance.b array; (* credit: per egress, per-queue byte balance *)
   uncredited : bool array;
-  mutable credits_sent : int;
   (* the compiled programs *)
   ops_classify : op array;
   ops_enqueue : op array;
@@ -96,11 +94,13 @@ let pipeline t = t.pipeline
 
 let stats t = t.st
 
-let credits_sent t = t.credits_sent
-
-let balance t ~egress ~queue = t.balances.(egress).(queue)
-
 let allow_backpressure t f = t.allow_bp := f
+
+let is_credit t = t.is_credit
+
+let pause_counters t = t.pc
+
+let flow_table t = t.ft
 
 let now t = Sim.now (Switch.sim t.sw)
 
@@ -143,7 +143,6 @@ let grant_back t ~in_port ~upstream_q ~bytes =
     let pkt = make_ctrl t Packet.Hop_credit in
     pkt.Packet.ctrl_a <- upstream_q;
     pkt.Packet.ctrl_b <- bytes;
-    t.credits_sent <- t.credits_sent + 1;
     Switch.send_ctrl t.sw ~egress:in_port pkt
   end
 
@@ -258,7 +257,7 @@ let run_enqueue t _sw ~in_port ~egress ~queue pkt =
         if not t.uncredited.(egress) then begin
           let q = Switch.queue t.sw ~egress ~queue in
           let next = Fifo.head_size q in
-          let blocked = next > 0 && t.balances.(egress).(queue) < next in
+          let blocked = next > 0 && Balance.get t.balances.(egress) ~queue < next in
           Switch.set_queue_paused t.sw ~egress ~queue blocked
         end
       | _ -> ()
@@ -306,8 +305,7 @@ let run_dequeue t _sw ~egress ~queue pkt =
         if not t.uncredited.(egress) then begin
           let q = Switch.queue t.sw ~egress ~queue in
           let next = Fifo.head_size q in
-          t.balances.(egress).(queue) <- t.balances.(egress).(queue) - pkt.Packet.size;
-          if next > 0 && t.balances.(egress).(queue) < next then
+          if Balance.consume t.balances.(egress) ~queue ~bytes:pkt.Packet.size ~next then
             Switch.set_queue_paused t.sw ~egress ~queue true
         end
       | O_credit_dec_size ->
@@ -364,8 +362,7 @@ let run_ctrl t _sw ~in_port pkt =
         if queue >= 0 && queue < Switch.(config t.sw).Switch.queues_per_port then begin
           let q = Switch.queue t.sw ~egress:in_port ~queue in
           let next = Fifo.head_size q in
-          t.balances.(in_port).(queue) <- t.balances.(in_port).(queue) + pkt.Packet.ctrl_b;
-          if next > 0 && t.balances.(in_port).(queue) >= next then
+          if Balance.replenish t.balances.(in_port) ~queue ~bytes:pkt.Packet.ctrl_b ~next then
             Switch.set_queue_paused t.sw ~egress:in_port ~queue false
         end;
         t.pmd_handled <- true
@@ -512,6 +509,7 @@ let attach (p : Ir.pipeline) sw =
       pipeline = p;
       sampling;
       incast_label;
+      is_credit;
       classes;
       qpc;
       sticky = Threshold.sticky_window sw ~mult:sticky_mult;
@@ -532,10 +530,9 @@ let attach (p : Ir.pipeline) sw =
         };
       occupancy = Array.init n_ports (fun _ -> Array.make nq 0);
       allow_bp = ref (fun ~in_port:_ ~egress:_ -> true);
-      balances = Array.init n_ports (fun _ -> Array.make nq balance_init);
+      balances = Array.init n_ports (fun _ -> Balance.create ~queues:nq ~initial:balance_init);
       uncredited =
         Array.init n_ports (fun e -> (Port.peer (Switch.port sw e)).Node.kind = Node.Host);
-      credits_sent = 0;
       ops_classify = ops_for p Ir.H_classify;
       ops_enqueue = ops_for p Ir.H_enqueue;
       ops_dequeue = ops_for p Ir.H_dequeue;
@@ -577,8 +574,9 @@ let attach_credit sw (cfg : Bfc_core.Credit_dataplane.config) =
        ~queues_per_port:scfg.Switch.queues_per_port cfg)
     sw
 
-(* Wipe compiled-program state on switch reboot, mirroring
-   Dataplane.reset (the reloaded program has no memory of the old run). *)
+(* Wipe the program's state alongside a switch reboot: the flow table,
+   pause counters, DQA bitmaps and occupancy diagnostics all restart from
+   scratch (the reloaded P4 program has no memory of the old run). *)
 (* bfc-lint: control-plane *)
 let reset t =
   Flow_table.reset t.ft;

@@ -1,10 +1,10 @@
-(** Compiler from validated IR pipelines to the zero-alloc hot path.
+(** Compiler from validated IR pipelines to the zero-alloc hot path — the
+    simulator's BFC and credit dataplane.
 
     [attach] validates, resolves every action to a flat op array per
-    switch hook, and installs integer-only executors over the same flat
-    state the hand-written dataplanes use. Raises {!Infeasible} when the
-    validator reports errors — an invalid pipeline can never reach the
-    hot path. *)
+    switch hook, and installs integer-only executors over flat dataplane
+    state. Raises {!Infeasible} when the validator reports errors — an
+    invalid pipeline can never reach the hot path. *)
 
 (** The validator errors that rejected the pipeline. *)
 exception Infeasible of Validate.diag list
@@ -27,18 +27,27 @@ val switch : t -> Bfc_switch.Switch.t
 
 val pipeline : t -> Ir.pipeline
 
-(** Same counters as the hand-written BFC dataplane. *)
+(** Whether this is a credit pipeline (no pause counters in use). *)
+val is_credit : t -> bool
+
+(** Pause, resume, threshold-mark and queue-assignment counters (BFC
+    pipelines). *)
 val stats : t -> Bfc_core.Dataplane.stats
 
-(** Hop_credit packets sent (credit pipelines). *)
-val credits_sent : t -> int
+(** Pause counters (for invariant checks). *)
+val pause_counters : t -> Bfc_core.Pause_counter.t
 
-(** Per-(egress, queue) byte balance (credit pipelines). *)
-val balance : t -> egress:int -> queue:int -> int
+val flow_table : t -> Bfc_core.Flow_table.t
 
-(** Restrict which (in_port, egress) pairs may generate backpressure
-    (deadlock experiments), as [Dataplane.allow_backpressure]. *)
+(** Current pause threshold for an egress (bytes). *)
+val threshold : t -> egress:int -> int
+
+(** [allow_backpressure t f] installs the deadlock-prevention match-action
+    filter (App. B): packets for which [f ~in_port ~egress] is false skip
+    pause accounting. *)
 val allow_backpressure : t -> (in_port:int -> egress:int -> bool) -> unit
 
-(** Wipe compiled-program state on switch reboot. *)
+(** Wipe flow table, pause counters, DQA bitmaps and occupancy
+    diagnostics; call together with {!Bfc_switch.Switch.reboot} so the
+    program's state matches the flushed switch. *)
 val reset : t -> unit

@@ -1,15 +1,16 @@
 (* File discovery, parsing and report rendering. *)
 
-(* Per-packet / per-event hot-path modules that get the feasibility family.
-   The two BFC dataplane programs are the original set (PR 2); the IR
-   compiler's execution engine, the stress/obs hot paths (detectors and
-   counters that run on every packet or pause transition) and the PDES
-   inter-shard ring (crossed by every cut packet) joined later. *)
+(* Per-packet / per-event hot-path modules that get the feasibility family:
+   the compiled dataplane's executors (the switch program), the reacting
+   side and credit balances it shares with host NICs, the stress/obs hot
+   paths (detectors and counters that run on every packet or pause
+   transition) and the PDES inter-shard ring (crossed by every cut
+   packet). *)
 let dataplane_files =
   [
+    "lib/ir/compile.ml";
     "lib/bfc/dataplane.ml";
     "lib/bfc/credit_dataplane.ml";
-    "lib/ir/compile.ml";
     "lib/stress/detect.ml";
     "lib/obs/registry.ml";
     "lib/obs/trace.ml";

@@ -1,8 +1,11 @@
 (** File discovery, parsing, and report rendering for bfc-lint. *)
 
-(** Path → which rule families apply. Dataplane scope is the per-packet BFC
-    modules ([lib/bfc/dataplane.ml], [lib/bfc/credit_dataplane.ml]); lib
-    scope is any file under a [lib/] directory segment. *)
+(** Path → which rule families apply. Dataplane scope is the modules that
+    hold per-packet code: the compiled dataplane ([lib/ir/compile.ml]), the
+    pause/credit handling it shares with host NICs
+    ([lib/bfc/dataplane.ml], [lib/bfc/credit_dataplane.ml]), and the
+    per-packet stress/obs/PDES paths; lib scope is any file under a [lib/]
+    directory segment. *)
 val scope_of_path : string -> Check.scope
 
 (** Lint one source text. [virtual_path] overrides [path] for scope

@@ -66,7 +66,7 @@ let thfactor profile =
                let pauses =
                  Array.fold_left
                    (fun a dp ->
-                     a + (Bfc_core.Dataplane.stats dp).Bfc_core.Dataplane.pauses_sent)
+                     a + (Bfc_ir.Compile.stats dp).Bfc_core.Dataplane.pauses_sent)
                    0 (Runner.dataplanes r.env)
                in
                summarize (Printf.sprintf "Th = %gx 1-hop BDP" factor) r

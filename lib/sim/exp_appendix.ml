@@ -492,7 +492,7 @@ let fig27 profile =
                let collisions, randoms, assigns =
                  Array.fold_left
                    (fun (c, ra, a) dp ->
-                     let st = Dataplane.stats dp in
+                     let st = Bfc_ir.Compile.stats dp in
                      ( c + st.Dataplane.queue_collisions,
                        ra + st.Dataplane.random_assignments,
                        a + st.Dataplane.assignments ))
@@ -688,12 +688,6 @@ let idempotent profile =
       done;
       !acc
     in
-    let stuck =
-      Array.fold_left
-        (fun a dp -> a + Bfc_core.Pause_counter.total (Bfc_core.Dataplane.pause_counters dp))
-        0 (Runner.dataplanes env)
-    in
-    ignore stuck;
     [
       name;
       cell (loss *. 100.0);
@@ -772,7 +766,7 @@ let deadlock_sim _profile =
     Runner.drain env ~budget:(Time.ms 40.0);
     let stuck =
       Array.fold_left
-        (fun a dp -> a + Bfc_core.Pause_counter.total (Bfc_core.Dataplane.pause_counters dp))
+        (fun a dp -> a + Bfc_core.Pause_counter.total (Bfc_ir.Compile.pause_counters dp))
         0 (Runner.dataplanes env)
     in
     [

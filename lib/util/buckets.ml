@@ -1,8 +1,6 @@
-(* One binary search serving both fixed-bucket histogram flavours in the
-   tree (Bfc_util.Histogram's clamped log bins and Bfc_obs.Registry's
-   overflow-bucket histograms). The two public APIs differ only in how
-   they treat the out-of-range ends, so both are thin wrappers over
-   [upper_index]. *)
+(* The binary search behind Bfc_obs.Registry's overflow-bucket
+   histograms, kept in bfc_util so any fixed-edge histogram resolves
+   values the same way. *)
 
 let check ~edges =
   let n = Array.length edges in
@@ -25,14 +23,3 @@ let upper_index ~edges v =
     done;
     !hi
   end
-
-let clamped_bin ~edges v =
-  let bins = Array.length edges - 1 in
-  let i = upper_index ~edges v - 1 in
-  if i < 0 then 0 else if i >= bins then bins - 1 else i
-
-let log_edges ~lo ~hi ~bins =
-  if lo <= 0.0 || hi <= lo || bins <= 0 then invalid_arg "Buckets.log_edges";
-  Array.init (bins + 1) (fun i ->
-      let frac = float_of_int i /. float_of_int bins in
-      lo *. exp (frac *. log (hi /. lo)))

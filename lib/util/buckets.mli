@@ -1,9 +1,6 @@
-(** Shared bucketing core for every fixed-edge histogram in the tree.
-
-    Both {!Histogram} (clamped log-spaced bins) and [Bfc_obs.Registry]'s
-    overflow-bucket histograms resolve values against a strictly ascending
-    edge array with the same O(log n) search; they differ only in end
-    handling, captured by the two lookup flavours below. *)
+(** Bucketing core for fixed-edge histograms ([Bfc_obs.Registry]'s
+    overflow-bucket histograms): values resolve against a strictly
+    ascending edge array with an O(log n) search. *)
 
 (** Raise [Invalid_argument] unless [edges] is non-empty and strictly
     ascending. *)
@@ -15,13 +12,3 @@ val check : edges:float array -> unit
     [n] = overflow). NaN resolves to bucket 1 (both comparisons are false,
     matching the historical behaviour of each call site). *)
 val upper_index : edges:float array -> float -> int
-
-(** [clamped_bin ~edges v] is the index of the half-open bin
-    [\[edges.(i), edges.(i+1))] containing [v], clamped to
-    [\[0, bins - 1\]] with [bins = Array.length edges - 1] — the
-    {e clamping} scheme used by {!Histogram}. *)
-val clamped_bin : edges:float array -> float -> int
-
-(** [log_edges ~lo ~hi ~bins] builds [bins + 1] logarithmically spaced
-    edges from [lo] to [hi] (both > 0, [hi > lo]). *)
-val log_edges : lo:float -> hi:float -> bins:int -> float array

@@ -15,6 +15,7 @@ module Pause_counter = Bfc_core.Pause_counter
 module Dqa = Bfc_core.Dqa
 module Threshold = Bfc_core.Threshold
 module Dataplane = Bfc_core.Dataplane
+module Compile = Bfc_ir.Compile
 module Deadlock = Bfc_core.Deadlock
 module Model = Bfc_core.Model
 module Active_flows = Bfc_core.Active_flows
@@ -201,7 +202,7 @@ let attach_bfc sim t sw_id =
     Switch.create ~sim ~node:(Topology.node t sw_id) ~ports:(Topology.ports t sw_id) ~config:cfg
       ~route ()
   in
-  let dp = Dataplane.attach sw { Dataplane.default_config with Dataplane.max_upstream_q = 16 } in
+  let dp = Compile.attach_bfc sw { Dataplane.default_config with Dataplane.max_upstream_q = 16 } in
   (sw, dp)
 
 let test_dataplane_pause_resume_cycle () =
@@ -235,20 +236,20 @@ let test_dataplane_pause_resume_cycle () =
   blast s0 f0;
   blast s1 f1;
   ignore (Sim.run sim ~until:(Time.ms 2.0));
-  let st2 = Dataplane.stats dp2 in
+  let st2 = Compile.stats dp2 in
   Alcotest.(check bool) "sw2 paused upstream" true (st2.Dataplane.pauses_sent > 0);
   check Alcotest.int "every pause resumed" st2.Dataplane.pauses_sent st2.Dataplane.resumes_sent;
   check Alcotest.int "pause counters drain to zero" 0
-    (Pause_counter.total (Dataplane.pause_counters dp2));
+    (Pause_counter.total (Compile.pause_counters dp2));
   check Alcotest.int "sw1 counters drain too" 0
-    (Pause_counter.total (Dataplane.pause_counters dp1))
+    (Pause_counter.total (Compile.pause_counters dp1))
 
 let test_dataplane_threshold_tracks_n_active () =
   let sim, t, _s0, _s1, sw1_id, _sw2_id, _r = mk_chain () in
   let sw1, dp1 = attach_bfc sim t sw1_id in
   ignore sw1;
   (* empty egress: N_active 0 -> Th = full 1-hop BDP (HRTT 2us @100G) *)
-  check Alcotest.int "Th at idle" 25_000 (Dataplane.threshold dp1 ~egress:0)
+  check Alcotest.int "Th at idle" 25_000 (Compile.threshold dp1 ~egress:0)
 
 let test_dataplane_classify_separates_flows () =
   let sim, t, s0, _s1, sw1_id, _sw2_id, r = mk_chain () in

@@ -19,6 +19,9 @@ module Metrics = Bfc_sim.Metrics
 module Loss = Bfc_fault.Loss
 module Injector = Bfc_fault.Injector
 module Auditor = Bfc_fault.Auditor
+module Compile = Bfc_ir.Compile
+module Flow_table = Bfc_core.Flow_table
+module Pause_counter = Bfc_core.Pause_counter
 
 let check = Alcotest.check
 
@@ -243,6 +246,45 @@ let test_reboot_conservation () =
     (Runner.completed env);
   check Alcotest.int "conservation holds across the wipe" 0 (Auditor.violation_count aud)
 
+let test_reboot_resets_compiled_program () =
+  let _, env, flows = star_incast ~watchdog:(Some 50.0) () in
+  let inj = Injector.attach env in
+  let aud = lossy_auditor env in
+  let dp = (Runner.dataplanes env).(0) in
+  let sw = Compile.switch dp in
+  let occupied () =
+    let ft = Compile.flow_table dp in
+    let n = ref 0 in
+    for e = 0 to Switch.n_ports sw - 1 do
+      n := !n + Flow_table.occupied ft ~egress:e
+    done;
+    !n
+  in
+  let paused () = Pause_counter.total (Compile.pause_counters dp) in
+  let before = ref (0, 0) and after = ref (0, 0) in
+  ignore
+    (Sim.at (Runner.sim env) (Time.us 40.0) (fun () ->
+         before := (occupied (), paused ());
+         ignore (Injector.reboot_switch inj ~node:(Switch.node_id sw) ~down_for:(Time.us 20.0) ());
+         after := (occupied (), paused ())));
+  Runner.inject env flows;
+  Runner.run env ~until:(Time.ms 1.0);
+  Runner.drain env ~budget:(Time.ms 30.0);
+  Auditor.check aud;
+  Alcotest.(check bool) "flow table in use before the reboot" true (fst !before > 0);
+  Alcotest.(check bool) "pause counters raised before the reboot" true (snd !before > 0);
+  check Alcotest.int "flow table empty after the reboot" 0 (fst !after);
+  check Alcotest.int "pause counters empty after the reboot" 0 (snd !after);
+  check Alcotest.int "all flows recover after the crash" (Runner.injected env)
+    (Runner.completed env);
+  check Alcotest.int "auditor clean across the reboot" 0 (Auditor.violation_count aud);
+  (* the BFC invariants run on the compiled program: a counter raised
+     behind the auditor's back breaks the pause balance *)
+  ignore (Pause_counter.incr (Compile.pause_counters dp) ~ingress:0 ~upstream_q:0);
+  Auditor.check aud;
+  Alcotest.(check bool) "pause-balance checked on the compiled program" true
+    (List.exists (fun v -> v.Auditor.v_invariant = "pause-balance") (Auditor.violations aud))
+
 let test_reboot_respects_prior_outage () =
   (* Regression: a reboot's down_for schedule must compose with existing
      link faults. The pre-downed bottleneck link stays down through the
@@ -312,6 +354,7 @@ let suite =
     Alcotest.test_case "link flap bfc" `Quick test_link_flap_bfc;
     Alcotest.test_case "link flap pfc" `Quick test_link_flap_pfc;
     Alcotest.test_case "reboot conservation" `Quick test_reboot_conservation;
+    Alcotest.test_case "reboot resets the compiled program" `Quick test_reboot_resets_compiled_program;
     Alcotest.test_case "reboot respects prior outage" `Quick test_reboot_respects_prior_outage;
     Alcotest.test_case "flap validates schedule" `Quick test_flap_rejects_bad_schedule;
   ]

@@ -1,6 +1,5 @@
 (* Pipeline IR: validator rules, golden infeasible fixtures, and the
-   differential gate holding the compiled IR byte-identical to the
-   hand-written dataplanes. *)
+   compiled dataplane held byte-identical to recorded runs. *)
 
 module Time = Bfc_engine.Time
 module Sim = Bfc_engine.Sim
@@ -171,77 +170,57 @@ let test_compile_checks_dims () =
   | exception Invalid_argument _ -> ()
 
 (* ------------------------------------------------------------------ *)
-(* Differential: IR-compiled vs hand-written dataplanes, byte-identical *)
+(* Recorded runs: the compiled dataplane against test/fixtures/ir/run-*.expected,
+   recorded from the retired hand-written BFC and credit hooks on the same
+   smoke scenarios. A fixture holds injected/completed, buffer p99, the six
+   summed dataplane stats (BFC runs) and the FCT rows, rendered as below. *)
 
-let smoke scheme ~incast ~use_ir =
+let smoke scheme ~incast =
   let s = Exp_common.std Exp_common.Smoke scheme in
-  let s =
-    {
-      s with
-      Exp_common.sp_incast = (if incast then Some Exp_common.default_incast else None);
-      sp_params = (fun p -> { p with Runner.use_ir });
-    }
-  in
-  Exp_common.run_std s
+  Exp_common.run_std
+    { s with Exp_common.sp_incast = (if incast then Some Exp_common.default_incast else None) }
 
-let sum_stats (sts : Dataplane.stats list) =
-  List.fold_left
-    (fun (a, b, c, d, e, f) (st : Dataplane.stats) ->
-      ( a + st.Dataplane.pauses_sent,
-        b + st.Dataplane.resumes_sent,
-        c + st.Dataplane.packets_counted,
-        d + st.Dataplane.queue_collisions,
-        e + st.Dataplane.assignments,
-        f + st.Dataplane.random_assignments ))
-    (0, 0, 0, 0, 0, 0) sts
+let render r ~stats =
+  let b = Buffer.create 4096 in
+  let env = r.Exp_common.env in
+  Printf.bprintf b "injected %d\ncompleted %d\nbuffer_p99 %.17g\n" (Runner.injected env)
+    (Runner.completed env) (Exp_common.buffer_p99 r);
+  if stats then begin
+    let sts = Array.map Compile.stats (Runner.dataplanes env) in
+    let sum f = Array.fold_left (fun a st -> a + f st) 0 sts in
+    Printf.bprintf b
+      "stats pauses_sent=%d resumes_sent=%d packets_counted=%d queue_collisions=%d \
+       assignments=%d random_assignments=%d\n"
+      (sum (fun st -> st.Dataplane.pauses_sent))
+      (sum (fun st -> st.Dataplane.resumes_sent))
+      (sum (fun st -> st.Dataplane.packets_counted))
+      (sum (fun st -> st.Dataplane.queue_collisions))
+      (sum (fun st -> st.Dataplane.assignments))
+      (sum (fun st -> st.Dataplane.random_assignments))
+  end;
+  List.iter (fun row -> Printf.bprintf b "fct %s\n" (String.concat "\t" row)) (Exp_common.fct_rows r);
+  Buffer.contents b
 
-let check_differential name scheme ~incast ~check_stats =
-  let hand = smoke scheme ~incast ~use_ir:false in
-  let ir = smoke scheme ~incast ~use_ir:true in
-  Alcotest.(check bool)
-    (name ^ ": hand path uses hand dataplanes")
-    true
-    (Array.length (Runner.ir_programs hand.Exp_common.env) = 0);
-  Alcotest.(check bool)
-    (name ^ ": ir path uses compiled programs")
-    true
-    (Array.length (Runner.ir_programs ir.Exp_common.env) > 0
-    && Array.length (Runner.dataplanes ir.Exp_common.env) = 0);
+let check_recorded name scheme ~incast ~stats =
+  let r = smoke scheme ~incast in
+  let env = r.Exp_common.env in
   Alcotest.(check int)
-    (name ^ ": injected") (Runner.injected hand.Exp_common.env)
-    (Runner.injected ir.Exp_common.env);
-  Alcotest.(check int)
-    (name ^ ": completed") (Runner.completed hand.Exp_common.env)
-    (Runner.completed ir.Exp_common.env);
-  Alcotest.(check (list (list string)))
-    (name ^ ": fct rows byte-identical") (Exp_common.fct_rows hand) (Exp_common.fct_rows ir);
-  Alcotest.(check (float 0.0))
-    (name ^ ": buffer p99") (Exp_common.buffer_p99 hand) (Exp_common.buffer_p99 ir);
-  if check_stats then begin
-    let hand_st =
-      sum_stats (Array.to_list (Array.map Dataplane.stats (Runner.dataplanes hand.Exp_common.env)))
-    in
-    let ir_st =
-      sum_stats (Array.to_list (Array.map Compile.stats (Runner.ir_programs ir.Exp_common.env)))
-    in
-    Alcotest.(check (list int))
-      (name ^ ": aggregated dataplane stats")
-      (let a, b, c, d, e, f = hand_st in
-       [ a; b; c; d; e; f ])
-      (let a, b, c, d, e, f = ir_st in
-       [ a; b; c; d; e; f ])
-  end
+    (name ^ ": one compiled program per switch")
+    (Array.length (Runner.switches env))
+    (Array.length (Runner.dataplanes env));
+  let expected = read_file (Filename.concat fixture_dir ("run-" ^ name ^ ".expected")) in
+  Alcotest.(check string) (name ^ ": matches the recorded run") expected (render r ~stats)
 
-let test_differential_bfc () = check_differential "bfc" Scheme.bfc ~incast:false ~check_stats:true
+let test_recorded_bfc () = check_recorded "bfc" Scheme.bfc ~incast:false ~stats:true
 
-let test_differential_bfc_sampled_incast () =
-  check_differential "bfc-sampled-incast"
+let test_recorded_bfc_sampled_incast () =
+  check_recorded "bfc-sampled-incast"
     (Scheme.Bfc
        { Scheme.bfc_default with Scheme.sampling = 0.25; Scheme.incast_label = true })
-    ~incast:true ~check_stats:true
+    ~incast:true ~stats:true
 
-let test_differential_credit () =
-  check_differential "credit" Scheme.bfc_credit ~incast:false ~check_stats:false
+let test_recorded_credit () =
+  check_recorded "credit" Scheme.bfc_credit ~incast:false ~stats:false
 
 let suite =
   [
@@ -254,7 +233,7 @@ let suite =
     Alcotest.test_case "compile rejects infeasible" `Quick test_compile_rejects_infeasible;
     Alcotest.test_case "compile attaches valid pipeline" `Quick test_compile_attaches_valid;
     Alcotest.test_case "compile checks dimensions" `Quick test_compile_checks_dims;
-    Alcotest.test_case "differential: bfc" `Slow test_differential_bfc;
-    Alcotest.test_case "differential: bfc sampled+incast" `Slow test_differential_bfc_sampled_incast;
-    Alcotest.test_case "differential: credit" `Slow test_differential_credit;
+    Alcotest.test_case "differential: bfc" `Slow test_recorded_bfc;
+    Alcotest.test_case "differential: bfc sampled+incast" `Slow test_recorded_bfc_sampled_incast;
+    Alcotest.test_case "differential: credit" `Slow test_recorded_credit;
   ]

@@ -9,11 +9,11 @@ module Rule = Bfclint.Rule
 (* dune runtest runs with cwd = the stanza dir; dune exec from the root. *)
 let fixture_dir = if Sys.file_exists "fixtures/lint" then "fixtures/lint" else "test/fixtures/lint"
 
-let lib_dir = if Sys.file_exists "../lib/bfc/dataplane.ml" then "../lib" else "lib"
+let lib_dir = if Sys.file_exists "../lib/ir/compile.ml" then "../lib" else "lib"
 
 (* Virtual paths place fixture sources in the scope a rule needs:
    DF rules only apply to the dataplane modules, DT/RB anywhere in lib/. *)
-let dataplane_path = "lib/bfc/dataplane.ml"
+let dataplane_path = "lib/ir/compile.ml"
 
 let lib_path = "lib/sim/fixture.ml"
 
@@ -111,9 +111,9 @@ let test_allow_all_keyword () =
   Alcotest.(check bool) "all suppressed" true (List.for_all (fun (_, sup) -> sup) findings)
 
 let test_seeded_list_iter_fails () =
-  (* The ISSUE's acceptance check: seeding a List.iter into dataplane.ml
-     must fail the lint alias. *)
-  let dataplane = read_file (Filename.concat lib_dir "bfc/dataplane.ml") in
+  (* Seeding a List.iter into the compiled dataplane must fail the lint
+     alias. *)
+  let dataplane = read_file (Filename.concat lib_dir "ir/compile.ml") in
   let seeded = dataplane ^ "\nlet seeded q = List.iter ignore q\n" in
   let findings = lint_inline ~virtual_path:dataplane_path seeded in
   Alcotest.(check bool) "seeded List.iter violates" true (fires "DF001" findings)

@@ -12,6 +12,7 @@ module Port = Bfc_net.Port
 module Topology = Bfc_net.Topology
 module Switch = Bfc_switch.Switch
 module Dataplane = Bfc_core.Dataplane
+module Compile = Bfc_ir.Compile
 module Threshold = Bfc_core.Threshold
 module Scheme = Bfc_sim.Scheme
 module Runner = Bfc_sim.Runner
@@ -39,7 +40,7 @@ let mk_one_switch ?(queues = 8) ?(dpcfg = Dataplane.default_config) () =
       ~ports:(Topology.ports t st.Topology.st_switch)
       ~config:cfg ~route ()
   in
-  let dp = Dataplane.attach sw { dpcfg with Dataplane.max_upstream_q = 16 } in
+  let dp = Compile.attach_bfc sw { dpcfg with Dataplane.max_upstream_q = 16 } in
   (Topology.node t st.Topology.st_receiver).Node.handler <- (fun ~in_port:_ _ -> ());
   (Topology.node t st.Topology.st_senders.(0)).Node.handler <- (fun ~in_port:_ _ -> ());
   (Topology.node t st.Topology.st_senders.(1)).Node.handler <- (fun ~in_port:_ _ -> ());
@@ -56,7 +57,7 @@ let test_sticky_assignment_retained () =
   let sim, st, t, _sw, dp = mk_one_switch () in
   let f = Flow.make ~id:900 ~src:st.Topology.st_senders.(0) ~dst:st.Topology.st_receiver ~size:1_000_000 ~arrival:0 () in
   inject t st (mk_data f 0);
-  let ft = Dataplane.flow_table dp in
+  let ft = Compile.flow_table dp in
   (* the receiver-facing egress index: probe via the entry the packet hit *)
   let find_entry () =
     let found = ref None in
@@ -110,19 +111,19 @@ let test_sampling_keeps_tables_sane () =
   done;
   ignore (Sim.run_until_idle sim);
   (* all packets forwarded; the flow table must have drained to zero *)
-  let ft = Dataplane.flow_table dp in
+  let ft = Compile.flow_table dp in
   for e = 0 to 2 do
     let entry = Bfc_core.Flow_table.entry ft ~egress:e ~fid_hash:(Flow.hash f) in
     check Alcotest.int "ft size drained" 0 entry.Bfc_core.Flow_table.size
   done;
   check Alcotest.int "pause counters drained" 0
-    (Bfc_core.Pause_counter.total (Dataplane.pause_counters dp))
+    (Bfc_core.Pause_counter.total (Compile.pause_counters dp))
 
 let test_fixed_th_overrides () =
   let _, _, _, _, dp =
     mk_one_switch ~dpcfg:{ Dataplane.default_config with Dataplane.fixed_th = Some 12345 } ()
   in
-  check Alcotest.int "fixed threshold" 12345 (Dataplane.threshold dp ~egress:0)
+  check Alcotest.int "fixed threshold" 12345 (Compile.threshold dp ~egress:0)
 
 let test_th_factor_scales () =
   let _, _, _, _, dp1 = mk_one_switch () in
@@ -130,8 +131,8 @@ let test_th_factor_scales () =
     mk_one_switch ~dpcfg:{ Dataplane.default_config with Dataplane.th_factor = 2.0 } ()
   in
   check Alcotest.int "double factor doubles Th"
-    (2 * Dataplane.threshold dp1 ~egress:0)
-    (Dataplane.threshold dp2 ~egress:0)
+    (2 * Compile.threshold dp1 ~egress:0)
+    (Compile.threshold dp2 ~egress:0)
 
 let test_bitmap_refresh_repauses () =
   (* adversarial: resume a queue by hand even though the downstream's pause
@@ -152,7 +153,7 @@ let test_bitmap_refresh_repauses () =
   let cfg = { Switch.default_config with Switch.queues_per_port = 4 } in
   let mk id dpcfg =
     let sw = Switch.create ~sim ~node:(Topology.node t id) ~ports:(Topology.ports t id) ~config:cfg ~route () in
-    (sw, Dataplane.attach sw { dpcfg with Dataplane.max_upstream_q = 8 })
+    (sw, Compile.attach_bfc sw { dpcfg with Dataplane.max_upstream_q = 8 })
   in
   let up_sw, _ = mk up Dataplane.default_config in
   let _, down_dp =
@@ -186,7 +187,7 @@ let test_bitmap_refresh_repauses () =
     Switch.set_queue_paused up_sw ~egress:!up_egress ~queue:!paused_q false;
     ignore (Sim.run sim ~until:(Sim.now sim + Time.us 25.0));
     let q = Switch.queue up_sw ~egress:!up_egress ~queue:!paused_q in
-    if Bfc_core.Pause_counter.total (Dataplane.pause_counters down_dp) > 0 then
+    if Bfc_core.Pause_counter.total (Compile.pause_counters down_dp) > 0 then
       Alcotest.(check bool) "bitmap repaused the queue" true q.Bfc_switch.Fifo.paused
   end
   (* if nothing was paused the flood drained early; the invariant tests in

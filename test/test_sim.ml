@@ -130,7 +130,7 @@ let test_pauses_happen_and_drain () =
   let pauses, resumes =
     Array.fold_left
       (fun (p, rs) dp ->
-        let st = Bfc_core.Dataplane.stats dp in
+        let st = Bfc_ir.Compile.stats dp in
         (p + st.Bfc_core.Dataplane.pauses_sent, rs + st.Bfc_core.Dataplane.resumes_sent))
       (0, 0)
       (Runner.dataplanes r.Exp_common.env)
@@ -140,7 +140,7 @@ let test_pauses_happen_and_drain () =
   Array.iter
     (fun dp ->
       check Alcotest.int "pause counters empty at the end" 0
-        (Bfc_core.Pause_counter.total (Bfc_core.Dataplane.pause_counters dp)))
+        (Bfc_core.Pause_counter.total (Bfc_ir.Compile.pause_counters dp)))
     (Runner.dataplanes r.Exp_common.env)
 
 let test_gbn_recovers_from_drops () =

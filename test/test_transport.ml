@@ -340,7 +340,7 @@ let test_host_flow_completes () =
       ~config:cfg ~route ()
   in
   ignore
-    (Bfc_core.Dataplane.attach sw
+    (Bfc_ir.Compile.attach_bfc sw
        { Bfc_core.Dataplane.default_config with Bfc_core.Dataplane.max_upstream_q = 16 });
   let hostcfg = { Host.default_config with Host.nic_queues = 8; bdp = 25_000 } in
   let mk i = Host.create ~sim ~node:(Topology.node t i) ~port:(Topology.ports t i).(0) ~config:hostcfg () in

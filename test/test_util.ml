@@ -6,7 +6,6 @@ module Wheel = Bfc_util.Wheel
 module Int_table = Bfc_util.Int_table
 module Bitset = Bfc_util.Bitset
 module Stats = Bfc_util.Stats
-module Histogram = Bfc_util.Histogram
 
 let check = Alcotest.check
 let checkf msg = Alcotest.(check (float 1e-9)) msg
@@ -501,32 +500,6 @@ let prop_percentile_bounds =
       List.for_all (fun v -> v >= lo -. 1e-9 && v <= hi +. 1e-9) vals
       && List.for_all2 ( <= ) (List.filteri (fun i _ -> i < 5) vals) (List.tl vals))
 
-(* ---------------------------- Histogram ---------------------------- *)
-
-let test_histogram_binning () =
-  let h = Histogram.create ~lo:1.0 ~hi:1000.0 ~bins:3 in
-  Histogram.add h 2.0;
-  Histogram.add h 50.0;
-  Histogram.add h 500.0;
-  Histogram.add h 0.5 (* clamps low *);
-  Histogram.add h 5000.0 (* clamps high *);
-  check Alcotest.int "count" 5 (Histogram.count h);
-  check Alcotest.(array int) "counts" [| 2; 1; 2 |] (Histogram.counts h)
-
-let test_histogram_cumulative () =
-  let h = Histogram.create ~lo:1.0 ~hi:100.0 ~bins:2 in
-  Histogram.add h 2.0;
-  Histogram.add h 3.0;
-  Histogram.add h 50.0;
-  Histogram.add h 99.0;
-  let c = Histogram.cumulative h in
-  checkf "first half" 0.5 c.(0);
-  checkf "total" 1.0 c.(1)
-
-let test_histogram_invalid () =
-  Alcotest.check_raises "bad bounds" (Invalid_argument "Histogram.create") (fun () ->
-      ignore (Histogram.create ~lo:10.0 ~hi:1.0 ~bins:4))
-
 (* --------------------------- Ascii table --------------------------- *)
 
 let test_ascii_table () =
@@ -581,9 +554,6 @@ let suite =
     ("stats empty", `Quick, test_stats_empty);
     ("stats stddev", `Quick, test_stats_stddev);
     ("running matches sample", `Quick, test_running_matches_sample);
-    ("histogram binning", `Quick, test_histogram_binning);
-    ("histogram cumulative", `Quick, test_histogram_cumulative);
-    ("histogram invalid", `Quick, test_histogram_invalid);
     ("ascii table", `Quick, test_ascii_table);
     ("float cell", `Quick, test_float_cell);
     QCheck_alcotest.to_alcotest prop_heap_sorts;
